@@ -424,10 +424,13 @@ bool connection_sender::work_available() const {
 }
 
 void connection_sender::on_packet(const packet::packet& pkt) {
+    // A closed sender is inert: late feedback must not re-arm a timer and
+    // so keep it from becoming reapable().
+    if (closed_) return;
     if (on_path_frame(pkt)) return;
     if (const auto* hs = std::get_if<packet::handshake_segment>(pkt.body.get())) {
         if (hs->type == packet::handshake_segment::kind::fin_ack) {
-            if (fin_sent_ && !closed_) {
+            if (fin_sent_) {
                 closed_ = true;
                 if (fin_timer_ != qtp::no_timer) env_->cancel(fin_timer_);
                 fin_timer_ = qtp::no_timer;

@@ -264,7 +264,12 @@ public:
     /// Full-reliability completion: every stream byte acknowledged.
     bool transfer_complete() const;
     /// FIN sent and FIN-ACK received: the connection is fully closed.
+    /// Inbound packets are ignored from then on.
     bool closed() const { return closed_; }
+    /// Closed, and no timer left armed: its host may detach (free) it now.
+    /// Closing cancels every timer but the pacing slot, which may still run
+    /// out after the FIN-ACK; no other timer is armed again once closed.
+    bool reapable() const { return closed_ && send_timer_ == qtp::no_timer; }
     bool fin_sent() const { return fin_sent_; }
     /// Stateless-retry rounds answered (listener address validation).
     std::uint64_t syn_retries_received() const { return syn_retries_received_; }

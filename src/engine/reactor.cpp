@@ -1,6 +1,8 @@
 #include "engine/reactor.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <ctime>
 #include <stdexcept>
 
 #ifdef __linux__
@@ -14,12 +16,14 @@ namespace vtp::engine {
 
 namespace {
 
-int timeout_ms(util::sim_time timeout) {
-    if (timeout == util::time_never) return -1;
-    if (timeout <= 0) return 0;
-    // Round up so we never spin-wake before a deadline.
-    const util::sim_time ms = (timeout + 999'999) / 1'000'000;
-    return static_cast<int>(std::min<util::sim_time>(ms, 60'000));
+// `timeout` as a timespec (negative clamps to zero). Callers pass no
+// timespec at all for util::time_never.
+timespec to_timespec(util::sim_time timeout) {
+    const util::sim_time t = timeout > 0 ? timeout : 0;
+    timespec ts{};
+    ts.tv_sec = static_cast<std::time_t>(t / 1'000'000'000);
+    ts.tv_nsec = static_cast<long>(t % 1'000'000'000);
+    return ts;
 }
 
 } // namespace
@@ -50,7 +54,17 @@ void reactor::remove_fd(int fd) {
 
 int reactor::poll_once(util::sim_time timeout) {
     epoll_event events[32];
-    const int n = ::epoll_wait(epfd_, events, 32, timeout_ms(timeout));
+    const timespec ts = to_timespec(timeout);
+    const timespec* wait = timeout == util::time_never ? nullptr : &ts;
+    int n = ::epoll_pwait2(epfd_, events, 32, wait, nullptr);
+    if (n < 0 && errno == ENOSYS) {
+        // Pre-5.11 kernel: whole milliseconds, rounded up so we never
+        // spin-wake before a deadline.
+        const std::time_t ms = ts.tv_sec * 1000 + (ts.tv_nsec + 999'999) / 1'000'000;
+        n = ::epoll_wait(epfd_, events, 32,
+                         wait == nullptr ? -1
+                                         : static_cast<int>(std::min<std::time_t>(ms, 60'000)));
+    }
     int dispatched = 0;
     for (int i = 0; i < n; ++i) {
         // Re-look-up per event: a callback may remove another fd.
@@ -62,7 +76,7 @@ int reactor::poll_once(util::sim_time timeout) {
     return dispatched;
 }
 
-#else // poll(2) fallback
+#else // ppoll(2) fallback
 
 reactor::reactor() = default;
 reactor::~reactor() = default;
@@ -77,8 +91,9 @@ int reactor::poll_once(util::sim_time timeout) {
     std::vector<pollfd> pfds;
     pfds.reserve(handlers_.size());
     for (const auto& [fd, cb] : handlers_) pfds.push_back(pollfd{fd, POLLIN, 0});
-    const int ready = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
-                             timeout_ms(timeout));
+    const timespec ts = to_timespec(timeout);
+    const int ready = ::ppoll(pfds.data(), static_cast<nfds_t>(pfds.size()),
+                              timeout == util::time_never ? nullptr : &ts, nullptr);
     int dispatched = 0;
     if (ready > 0) {
         for (const auto& p : pfds) {

@@ -1,5 +1,5 @@
 // Readiness reactor: epoll(7) on Linux (O(1) per wait, no per-iteration
-// fd-set rebuild), poll(2) elsewhere. One reactor per shard thread and
+// fd-set rebuild), ppoll(2) elsewhere. One reactor per shard thread and
 // one behind the legacy net::event_loop. Level-triggered: a callback
 // that does not fully drain its fd simply runs again next turn, which
 // is how shards bound their per-turn receive work without losing data.
@@ -26,9 +26,17 @@ public:
     void add_fd(int fd, std::function<void()> on_readable);
     void remove_fd(int fd);
 
-    /// Block up to `timeout` (nanoseconds; 0 = poll, util::time_never =
-    /// block indefinitely), then dispatch every readable fd's callback.
-    /// Returns the number of callbacks dispatched.
+    /// Block up to `timeout` (nanoseconds; 0 or negative = poll,
+    /// util::time_never = block indefinitely), then dispatch every
+    /// readable fd's callback. Returns the number of callbacks dispatched.
+    ///
+    /// The sleep honours `timeout` at nanosecond resolution (epoll_pwait2
+    /// on Linux, ppoll elsewhere), up to the kernel's timer slack: a shard
+    /// that sleeps until its next timer-wheel deadline wakes within
+    /// microseconds of it, which is what keeps rate-paced senders on their
+    /// schedule. Only on a kernel without epoll_pwait2 (ENOSYS, pre-5.11)
+    /// does the sleep fall back to epoll_wait, rounded up to whole
+    /// milliseconds.
     int poll_once(util::sim_time timeout);
 
 private:

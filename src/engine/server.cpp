@@ -47,6 +47,7 @@ server::server(engine_config cfg) : cfg_(cfg) {
             "spikes between reap ticks)."));
         windows_.push_back(std::make_unique<trace::window_ring>(
             static_cast<std::uint64_t>(cfg_.telemetry_window)));
+        outgoing_.emplace_back();
         // Command mailbox drain + per-turn samples (export-ring depth,
         // half-open population): runs on the shard thread each turn.
         shards_.back()->set_turn_hook([this, i] {
@@ -296,6 +297,7 @@ void server::arm_reaper(vtp::server* srv, shard& sh) {
             }
         });
         const std::size_t reaped = srv->reap_closed();
+        reap_outgoing(sh);
         auto& c = sh.counters();
         if (reaped > 0) {
             const std::uint64_t cur = c.sessions.load(std::memory_order_relaxed);
@@ -351,6 +353,15 @@ void server::arm_reaper(vtp::server* srv, shard& sh) {
     });
 }
 
+void server::reap_outgoing(shard& sh) {
+    std::erase_if(outgoing_[sh.index()], [&sh](std::uint32_t flow) {
+        const auto* tx = dynamic_cast<const qtp::connection_sender*>(sh.find_agent(flow));
+        if (tx != nullptr && !tx->reapable()) return false;
+        if (tx != nullptr) sh.detach_dynamic(flow);
+        return true;
+    });
+}
+
 void server::connect(std::uint32_t peer_addr, vtp::session_options opts,
                      std::function<void(std::size_t, vtp::session)> on_ready) {
     if (opts.flow_id == 0)
@@ -368,6 +379,7 @@ void server::connect(std::uint32_t peer_addr, vtp::session_options opts,
     sh.post([this, &sh, owner, peer_addr, opts, cb = std::move(on_ready)]() mutable {
         vtp::session s = vtp::session::connect(sh, peer_addr, opts);
         s.set_event_sink(&sinks_[owner]);
+        outgoing_[owner].push_back(s.flow_id());
         if (cb) cb(owner, std::move(s));
     });
 }

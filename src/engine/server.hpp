@@ -19,7 +19,7 @@
 // closed sessions are reaped on a per-shard timer. Outgoing sessions are
 // hosted the same way: connect() picks a flow id, routes to the owner
 // shard (the flow-id hash every shard agrees on) and builds the
-// vtp::session there.
+// vtp::session there; once closed, the same reap tick frees them.
 //
 // Thread model (API v2): the application talks to engine-hosted
 // sessions without ever touching shard state.
@@ -69,7 +69,8 @@ struct engine_config {
     /// per-accept capability policy, packet size, handshake timers).
     vtp::server_options accept{};
 
-    /// How often each shard reaps sessions whose peer closed.
+    /// How often each shard reaps closed sessions: accepted ones whose
+    /// peer closed, and outgoing ones whose FIN was acknowledged.
     util::sim_time reap_interval = util::seconds(1);
 
     // Datapath knobs, applied to every shard.
@@ -188,6 +189,13 @@ public:
     /// Open an outgoing session from this engine to `peer_addr`. The
     /// session is built on the shard owning its flow id; `on_ready` runs
     /// there with the fresh handle. Safe from any thread.
+    ///
+    /// The handle is valid only inside `on_ready`: keep (shard, flow) and
+    /// drive the session through send()/close() and poll_events(). Once
+    /// the session is closed (its `closed` event, FIN acknowledged), a
+    /// reap tick of its shard frees it (the first one after its last
+    /// pacing slot ran out), and later commands for that flow are refused
+    /// and counted in commands_dropped.
     void connect(std::uint32_t peer_addr, vtp::session_options opts,
                  std::function<void(std::size_t, vtp::session)> on_ready);
 
@@ -285,6 +293,8 @@ private:
     };
 
     void arm_reaper(vtp::server* srv, shard& sh);
+    /// Detach the closed outgoing sessions of `sh` (its reap tick).
+    void reap_outgoing(shard& sh);
     bool enqueue(std::size_t shard_idx, command&& cmd);
     void execute(std::size_t shard_idx, command& cmd);
     /// Append vtp_*_rate / vtp_*_p99_60s derived series to `out` from
@@ -311,6 +321,9 @@ private:
     std::vector<trace::histogram*> half_open_turns_;
     /// Per-shard sliding-window snapshot rings (reap-tick cadence).
     std::vector<std::unique_ptr<trace::window_ring>> windows_;
+    /// Per-shard flow ids of connect()ed sessions not yet reaped (each
+    /// touched only on its shard's thread).
+    std::vector<std::vector<std::uint32_t>> outgoing_;
     /// Admin plane; reset by stop() before the shards stop so live trace
     /// taps detach while their owner threads still run.
     std::unique_ptr<ops::admin_server> admin_;

@@ -4,13 +4,17 @@
 // simulator, writable backpressure, the move-session regression (shim
 // state lives on the substrate-owned agent, never the handle), bounded
 // event-queue/recv-buffer drop accounting, and the engine's cross-thread
-// command mailbox + poll_events() export.
+// command mailbox + poll_events() export (including the reaping of closed
+// outgoing sessions).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "api/server.hpp"
@@ -39,6 +43,26 @@ std::vector<std::uint8_t> make_payload(std::size_t n, std::uint64_t seed = 1) {
         out[i] = static_cast<std::uint8_t>(x);
     }
     return out;
+}
+
+/// Run `fn(shard)` on engine shard `i`'s thread and return its answer.
+template <typename F>
+auto on_shard(engine::server& eng, std::size_t i, F fn) {
+    engine::shard& sh = eng.shard_at(i);
+    auto answer = std::make_shared<std::promise<decltype(fn(sh))>>();
+    auto fut = answer->get_future();
+    sh.post([answer, &sh, fn] { answer->set_value(fn(sh)); });
+    return fut.get();
+}
+
+/// Poll `done()` every 10 ms for up to 2 s.
+template <typename F>
+bool eventually(F done) {
+    for (int i = 0; i < 200; ++i) {
+        if (done()) return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return done();
 }
 
 struct sim_pair {
@@ -373,6 +397,7 @@ TEST(EngineEventApi, CommandMailboxAndPolledEvents) {
     engine::engine_config ecfg;
     ecfg.port = 48731;
     ecfg.shards = 2;
+    ecfg.reap_interval = milliseconds(50);
     engine::server eng(ecfg);
     try {
         eng.start();
@@ -440,5 +465,48 @@ TEST(EngineEventApi, CommandMailboxAndPolledEvents) {
     const engine::engine_stats st = eng.stats();
     EXPECT_EQ(st.commands_dropped, 0u);
     EXPECT_EQ(st.decode_errors, 0u);
+
+    // The closed outgoing session is freed on its shard's next reap tick...
+    const std::size_t sh = shard_idx;
+    const std::uint32_t flow = flow_id;
+    EXPECT_TRUE(eventually([&] {
+        return on_shard(eng, sh, [flow](engine::shard& s) {
+            return s.find_agent(flow) == nullptr;
+        });
+    })) << "closed outgoing session still attached";
+    // ...so a later command for it is refused, and counted.
+    EXPECT_TRUE(eng.send(sh, flow, 0, payload.data(), 100)); // mailbox accepts
+    EXPECT_TRUE(eventually([&] { return eng.stats().commands_dropped == 1; }));
+
+    // 200 more connect/close cycles, at most 50 in flight: none of the
+    // closed sessions stays attached.
+    constexpr int cycles = 200;
+    const std::vector<std::uint8_t> small = make_payload(1000, 5);
+    int opened = 0, closed = 0;
+    const util::sim_time churn_deadline = loop.now() + seconds(30);
+    while (closed < cycles && loop.now() < churn_deadline) {
+        for (; opened < cycles && opened - closed < 50; ++opened)
+            eng.connect(48732, session_options::reliable(), nullptr);
+        loop.run(milliseconds(2));
+        for (std::size_t i = 0, n = eng.poll_events(evs, 32); i < n; ++i) {
+            const engine::engine_event& e = evs[i];
+            if (e.ev.type == event_type::established) {
+                EXPECT_TRUE(eng.send(e.shard, e.flow, 0, small.data(), small.size()));
+                EXPECT_TRUE(eng.close(e.shard, e.flow));
+            } else if (e.ev.type == event_type::closed) {
+                ++closed;
+            }
+        }
+    }
+    EXPECT_EQ(closed, cycles);
+    const auto attached = [&] {
+        std::size_t n = 0;
+        for (std::size_t i = 0; i < eng.shard_count(); ++i)
+            n += on_shard(eng, i, [](engine::shard& s) { return s.agent_count(); });
+        return n;
+    };
+    EXPECT_TRUE(eventually([&] { return attached() == 0; }))
+        << attached() << " outgoing sessions left attached";
+    EXPECT_EQ(eng.stats().commands_dropped, 1u); // only the refused send
     eng.stop();
 }

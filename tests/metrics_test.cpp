@@ -39,7 +39,9 @@ TEST(histogram_test, bucket_geometry_invariants) {
         const std::size_t i = histogram::bucket_index(v);
         ASSERT_LT(i, histogram::bucket_count) << v;
         EXPECT_GE(histogram::bucket_upper(i), v) << v;
-        if (i > 0) EXPECT_LT(histogram::bucket_upper(i - 1), v) << v;
+        if (i > 0) {
+            EXPECT_LT(histogram::bucket_upper(i - 1), v) << v;
+        }
         if (v >= histogram::sub_count) {
             const double width = static_cast<double>(histogram::bucket_upper(i)) -
                                  static_cast<double>(histogram::bucket_upper(i - 1));

@@ -4,7 +4,7 @@
 // per-interval rate of the measured flow. Meant for quick what-if runs
 // without writing C++:
 //
-//   vtpsim --proto qtp-af --target 4 --bottleneck 10 --loss 0.5 \
+//   vtpsim --proto qtp-af --target 4 --bottleneck 10 --loss 0.5
 //          --competing-tcp 2 --duration 60 --rio --trace rate.csv
 //
 // Options (all optional):
