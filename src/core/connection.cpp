@@ -117,12 +117,12 @@ void connection_sender::start_paths() {
 }
 
 void connection_sender::migrate(std::uint32_t remote) {
-    if (!path_.enabled() || env_ == nullptr) return;
+    if (!path_.enabled() || env_ == nullptr || closed_) return;
     path_.migrate(remote == 0 ? cfg_.peer_addr : remote);
 }
 
 void connection_sender::add_path(std::uint32_t remote) {
-    if (!path_.enabled() || env_ == nullptr || remote == 0) return;
+    if (!path_.enabled() || env_ == nullptr || closed_ || remote == 0) return;
     path_.add_path(remote);
 }
 
@@ -421,6 +421,12 @@ bool connection_sender::work_available() const {
     // advances and the scoreboards can finalise the tail (else a loss in
     // the last `horizon` packets would stall the transfer forever).
     return mux_.probe_needed() && !closed_;
+}
+
+bool connection_sender::reapable() const {
+    return closed_ && send_timer_ == qtp::no_timer && nofeedback_timer_ == qtp::no_timer &&
+           handshake_timer_ == qtp::no_timer && fin_timer_ == qtp::no_timer &&
+           !reneg_.timer_armed() && !path_.timer_armed();
 }
 
 void connection_sender::on_packet(const packet::packet& pkt) {

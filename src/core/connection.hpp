@@ -226,10 +226,11 @@ public:
     /// Validate `remote` end to end and switch the transmit path to it
     /// once proven (path_changed event). `remote == 0` (or the current
     /// peer) re-probes the active 4-tuple — the client-after-rebind
-    /// case. No-op unless cfg.path.enabled.
+    /// case. No-op unless cfg.path.enabled, and once closed.
     void migrate(std::uint32_t remote);
     /// Probe `remote` as an additional send path; once validated the
     /// dual-path scheduler starts steering to it (cfg.path.multipath).
+    /// No-op once closed.
     void add_path(std::uint32_t remote);
     /// Path manager introspection (per-path stats, migration counters).
     const path::manager& paths() const { return path_; }
@@ -266,10 +267,9 @@ public:
     /// FIN sent and FIN-ACK received: the connection is fully closed.
     /// Inbound packets are ignored from then on.
     bool closed() const { return closed_; }
-    /// Closed, and no timer left armed: its host may detach (free) it now.
-    /// Closing cancels every timer but the pacing slot, which may still run
-    /// out after the FIN-ACK; no other timer is armed again once closed.
-    bool reapable() const { return closed_ && send_timer_ == qtp::no_timer; }
+    /// Closed, and no timer of its own left armed (the pacing slot may
+    /// still run out after the FIN-ACK): its host may detach (free) it now.
+    bool reapable() const;
     bool fin_sent() const { return fin_sent_; }
     /// Stateless-retry rounds answered (listener address validation).
     std::uint64_t syn_retries_received() const { return syn_retries_received_; }

@@ -151,6 +151,8 @@ public:
     void cancel(environment& env);
 
     bool pending() const { return init_.pending(); }
+    /// A proposal retransmission is scheduled.
+    bool timer_armed() const { return timer_ != no_timer; }
 
     /// Local proposals started (counts each start(), not retransmissions).
     std::uint64_t proposals_sent() const { return proposals_sent_; }

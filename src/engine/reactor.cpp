@@ -26,6 +26,15 @@ timespec to_timespec(util::sim_time timeout) {
     return ts;
 }
 
+// The ms-rounded timeout of the fallback waits (epoll_wait, poll):
+// rounded up so we never spin-wake before a deadline; -1 (block) for no
+// timespec.
+[[maybe_unused]] int fallback_timeout_ms(const timespec* wait) {
+    if (wait == nullptr) return -1;
+    const std::time_t ms = wait->tv_sec * 1000 + (wait->tv_nsec + 999'999) / 1'000'000;
+    return static_cast<int>(std::min<std::time_t>(ms, 60'000));
+}
+
 } // namespace
 
 #ifdef __linux__
@@ -56,15 +65,14 @@ int reactor::poll_once(util::sim_time timeout) {
     epoll_event events[32];
     const timespec ts = to_timespec(timeout);
     const timespec* wait = timeout == util::time_never ? nullptr : &ts;
-    int n = ::epoll_pwait2(epfd_, events, 32, wait, nullptr);
-    if (n < 0 && errno == ENOSYS) {
-        // Pre-5.11 kernel: whole milliseconds, rounded up so we never
-        // spin-wake before a deadline.
-        const std::time_t ms = ts.tv_sec * 1000 + (ts.tv_nsec + 999'999) / 1'000'000;
-        n = ::epoll_wait(epfd_, events, 32,
-                         wait == nullptr ? -1
-                                         : static_cast<int>(std::min<std::time_t>(ms, 60'000)));
+    int n = -1;
+    if (!pwait2_unavailable_) {
+        n = ::epoll_pwait2(epfd_, events, 32, wait, nullptr);
+        // Not in the kernel (ENOSYS, pre-5.11) or refused by a seccomp
+        // filter (EPERM): wait in whole milliseconds from now on.
+        if (n < 0 && errno != EINTR) pwait2_unavailable_ = true;
     }
+    if (pwait2_unavailable_) n = ::epoll_wait(epfd_, events, 32, fallback_timeout_ms(wait));
     int dispatched = 0;
     for (int i = 0; i < n; ++i) {
         // Re-look-up per event: a callback may remove another fd.
@@ -76,7 +84,7 @@ int reactor::poll_once(util::sim_time timeout) {
     return dispatched;
 }
 
-#else // ppoll(2) fallback
+#else // ppoll(2) fallback; poll(2) on macOS, which has no ppoll
 
 reactor::reactor() = default;
 reactor::~reactor() = default;
@@ -92,8 +100,13 @@ int reactor::poll_once(util::sim_time timeout) {
     pfds.reserve(handlers_.size());
     for (const auto& [fd, cb] : handlers_) pfds.push_back(pollfd{fd, POLLIN, 0});
     const timespec ts = to_timespec(timeout);
-    const int ready = ::ppoll(pfds.data(), static_cast<nfds_t>(pfds.size()),
-                              timeout == util::time_never ? nullptr : &ts, nullptr);
+    const timespec* wait = timeout == util::time_never ? nullptr : &ts;
+#ifdef __APPLE__
+    const int ready =
+        ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), fallback_timeout_ms(wait));
+#else
+    const int ready = ::ppoll(pfds.data(), static_cast<nfds_t>(pfds.size()), wait, nullptr);
+#endif
     int dispatched = 0;
     if (ready > 0) {
         for (const auto& p : pfds) {

@@ -1,5 +1,5 @@
 // Readiness reactor: epoll(7) on Linux (O(1) per wait, no per-iteration
-// fd-set rebuild), ppoll(2) elsewhere. One reactor per shard thread and
+// fd-set rebuild), ppoll(2) elsewhere (poll(2) on macOS). One reactor per shard thread and
 // one behind the legacy net::event_loop. Level-triggered: a callback
 // that does not fully drain its fd simply runs again next turn, which
 // is how shards bound their per-turn receive work without losing data.
@@ -34,15 +34,18 @@ public:
     /// on Linux, ppoll elsewhere), up to the kernel's timer slack: a shard
     /// that sleeps until its next timer-wheel deadline wakes within
     /// microseconds of it, which is what keeps rate-paced senders on their
-    /// schedule. Only on a kernel without epoll_pwait2 (ENOSYS, pre-5.11)
-    /// does the sleep fall back to epoll_wait, rounded up to whole
-    /// milliseconds.
+    /// schedule. Where epoll_pwait2 fails (ENOSYS on a pre-5.11 kernel,
+    /// EPERM under a seccomp filter that does not list it), the reactor
+    /// falls back for good to epoll_wait, rounded up to whole
+    /// milliseconds; macOS, which has no ppoll, uses poll(2) the same way.
     int poll_once(util::sim_time timeout);
 
 private:
     std::unordered_map<int, std::function<void()>> handlers_;
 #ifdef __linux__
     int epfd_ = -1;
+    /// epoll_pwait2 failed once: every later wait uses epoll_wait.
+    bool pwait2_unavailable_ = false;
 #endif
 };
 

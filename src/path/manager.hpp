@@ -57,6 +57,8 @@ public:
     void start(qtp::environment& env, std::uint32_t initial_peer);
     /// Cancel the validation timer (connection close/destruction).
     void stop();
+    /// The validation timer is scheduled.
+    bool timer_armed() const { return timer_ != qtp::no_timer; }
 
     void set_tracer(trace::tracer* t) { tracer_ = t; }
     /// (old_remote, new_remote, cause) — fired on active-path switches

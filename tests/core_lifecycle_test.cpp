@@ -66,6 +66,39 @@ TEST(teardown_test, fin_retransmitted_through_loss) {
     EXPECT_TRUE(flow.sender->closed());
 }
 
+TEST(teardown_test, closed_sender_arms_no_timer_again) {
+    // A closed sender is inert: path requests, a renegotiation proposal
+    // and late inbound packets arm no timer, so once reapable() its host
+    // may free it (engine::server reaps closed outgoing sessions so).
+    sim::dumbbell net(base_config());
+    qtp::connection_config app;
+    app.total_bytes = 100'000;
+    app.path.enabled = true;
+    auto pair = qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
+                                     qtp::qtp_af_profile(0.0), qtp::capabilities{}, app);
+    auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
+    net.sched().run_until(seconds(30));
+    ASSERT_TRUE(flow.sender->closed());
+    ASSERT_TRUE(flow.sender->reapable());
+    const std::uint64_t challenges = flow.sender->paths().stats().challenges_sent;
+
+    constexpr std::uint32_t other_addr = 4242;
+    flow.sender->migrate(0);
+    flow.sender->migrate(other_addr);
+    flow.sender->add_path(other_addr + 1);
+    flow.sender->request_renegotiate(qtp::qtp_af_profile(1e6));
+    packet::path_challenge_segment pc;
+    pc.token = 7;
+    flow.sender->on_packet(packet::make_packet(1, other_addr, net.left_addr(0), pc));
+    flow.sender->on_packet(packet::make_packet(1, net.right_addr(0), net.left_addr(0),
+                                               packet::sack_feedback_segment{}));
+
+    EXPECT_TRUE(flow.sender->reapable());
+    EXPECT_FALSE(flow.sender->renegotiation_pending());
+    EXPECT_EQ(flow.sender->paths().stats().challenges_sent, challenges);
+    EXPECT_EQ(flow.sender->paths().stats().challenges_received, 0u);
+}
+
 TEST(teardown_test, unreliable_finite_stream_also_closes) {
     sim::dumbbell net(base_config());
     qtp::connection_config app;
